@@ -18,22 +18,28 @@ object Optimizer {
 
   def optimize(p: Program, cat: Catalog, level: Int): Program = level match {
     case 0 => p
-    case 1 => fix(p)(q => globalDce(localDce(q)))
-    case 2 => fix(optimize(p, cat, 1))(q => globalDce(localDce(groupAggElim(q, cat))))
-    case 3 => fix(optimize(p, cat, 2))(q => globalDce(localDce(groupAggElim(selfJoinElim(q, cat), cat))))
+    case 1 => fix(p, 1)(q => globalDce(localDce(q)))
+    case 2 => fix(optimize(p, cat, 1), 2)(q => globalDce(localDce(groupAggElim(q, cat))))
+    case 3 => fix(optimize(p, cat, 2), 3)(q => globalDce(localDce(groupAggElim(selfJoinElim(q, cat), cat))))
     case 4 =>
       val inlined = inlineRules(optimize(p, cat, 3))
-      fix(inlined)(q => globalDce(localDce(groupAggElim(selfJoinElim(q, cat), cat))))
+      fix(inlined, 4)(q => globalDce(localDce(groupAggElim(selfJoinElim(q, cat), cat))))
     case n => sys.error(s"optimizer: unknown level $n")
   }
 
-  private def fix(p: Program)(step: Program => Program): Program = {
-    var cur = p
-    var i = 0
-    while (i < 10) {
-      val next = step(cur)
-      if (next == cur) return cur
-      cur = next; i += 1
+  /** Most changing steps `fix` takes. Global DCE prunes one rule per step;
+    * TPC-H Q8 at O1 takes 10. */
+  private val FixpointCap = 50
+
+  /** Apply `step` until the program stops changing; fail at the cap. */
+  private[core] def fix(p: Program, level: Int)(step: Program => Program): Program = {
+    var (cur, next, steps) = (p, step(p), 0)
+    while (next != cur) {
+      steps += 1
+      if (steps > FixpointCap)
+        sys.error(s"optimizer: O$level reached no fixpoint in $FixpointCap steps")
+      cur = next
+      next = step(cur)
     }
     cur
   }
@@ -133,7 +139,9 @@ object Optimizer {
   // ---------------------------------------------- group-aggregate elimination
   /** If a rule groups by a column known to be unique (PK / UID / previous
     * group key), the grouping is a no-op: drop `group` and unwrap every
-    * aggregate (`sum/min/max/avg(t) → t`, `count(*) → 1`). */
+    * aggregate in the head, assignments and predicates (`sum/min/max/avg(t)
+    * → t`, `count(*) → 1`). A rule that counts a column is left alone:
+    * `count(x)` is 0 where `x` is NULL. */
   def groupAggElim(p: Program, cat: Catalog): Program = {
     val uniq = uniqueColumns(p, cat)
     val rules = p.rules.map { r =>
@@ -148,18 +156,25 @@ object Optimizer {
       }
       if (!groupUnique) r
       else {
+        var countsColumn = false
         def unwrap(t: Term): Term = t match {
-          case TAgg("count", _, false) => TConst(1L)
-          case TAgg(_, a, _)           => unwrap(a)
-          case TIf(c, a, b)            => TIf(unwrap(c), unwrap(a), unwrap(b))
-          case TBin(o, l, rr)          => TBin(o, unwrap(l), unwrap(rr))
-          case TExt(f, as)             => TExt(f, as.map(unwrap))
-          case x                       => x
+          case TAgg("count", TConst(_), _) => TConst(1L)
+          case TAgg("count", _, _)         => countsColumn = true; t
+          case TAgg(_, a, _)               => unwrap(a)
+          case TIf(c, a, b)                => TIf(unwrap(c), unwrap(a), unwrap(b))
+          case TBin(o, l, rr)              => TBin(o, unwrap(l), unwrap(rr))
+          case TExt(f, as)                 => TExt(f, as.map(unwrap))
+          case x                           => x
         }
-        r.copy(
+        val out = r.copy(
           head = r.head.copy(group = Vector.empty,
                              cols = r.head.cols.map { case (n, t) => n -> unwrap(t) }),
-          body = r.body.map { case AssignAtom(v, t) => AssignAtom(v, unwrap(t)); case a => a })
+          body = r.body.map {
+            case AssignAtom(v, t) => AssignAtom(v, unwrap(t))
+            case PredAtom(t)      => PredAtom(unwrap(t))
+            case a                => a
+          })
+        if (countsColumn) r else out
       }
     }
     p.copy(rules = rules)

@@ -1,22 +1,21 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession, Row}
+import org.apache.spark.sql.{AnalysisException, Column, DataFrame, SparkSession, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import TondIR._
+import RulePlan.{Body, Plan}
 
-/** TondIR → Catalyst translation: every rule is compiled directly into Spark
-  * DataFrame operations, i.e. a Catalyst logical plan — the Spark-native
-  * execution path of this reproduction (no SQL text round-trip).
+/** TondIR → Catalyst translation: every rule's [[RulePlan]] is printed as
+  * Spark DataFrame operations, i.e. a Catalyst logical plan — the
+  * Spark-native execution path of this reproduction (no SQL text round-trip).
   *
-  * Mapping: relation atoms with repeated variables → equi-joins; outer-join
-  * markers → left/right/full joins with ON conditions; predicates → `where`;
-  * assignments → inlined column expressions; `group(...)` heads →
-  * `groupBy().agg()` (agg-bearing predicates become post-aggregation
-  * filters, i.e. HAVING); `exists` / `not exists` → `left_semi` /
-  * `left_anti` joins; constant relations → `createDataFrame`; UID() →
-  * 0-based `row_number()` window; sort/limit → `orderBy`/`limit`.
+  * Mapping: scans → equi-joins, outer ones left/right/full joins with their
+  * ON terms; WHERE terms → `where`; group keys → `groupBy().agg()` with
+  * HAVING terms as post-aggregation filters; semi/anti children →
+  * `left_semi` / `left_anti` joins; VALUES scans → `createDataFrame`; UID()
+  * → 0-based `row_number()` window; sort/limit → `orderBy`/`limit`.
   */
 object SparkGen {
 
@@ -25,149 +24,70 @@ object SparkGen {
               spark: SparkSession): DataFrame = {
     var rels: Map[String, DataFrame] = inputs
     for (rule <- p.rules)
-      rels = rels + (rule.head.rel -> compileRule(rule, rels, spark))
+      rels = rels + (rule.head.rel -> compileRule(RulePlan(rule, p, cat), rels, spark))
     rels(p.result)
   }
 
-  /** Compile one rule against already-materialized relation DataFrames. */
-  def compileRule(rule: Rule, rels: Map[String, DataFrame], spark: SparkSession): DataFrame = {
-    val assignOf = rule.assigns.map(a => a.v -> a.t).toMap
+  /** A plan column reference: a DataFrame column named `<alias>.<column>`. */
+  private def ref(name: String): Column = col(s"`$name`")
 
-    val (joined, env) = buildBody(rule.body, rels, Map.empty, spark, "b")
+  private def and(cs: Seq[Column]): Column = cs.reduceOption(_ && _).getOrElse(lit(true))
 
-    def colOf(v: String): Column =
-      env.get(v).map(col)
-        .getOrElse(assignOf.get(v).map(t => render(t, colOf))
-          .getOrElse(sys.error(s"sparkgen: unbound var $v in ${show(rule)}")))
+  private def equal(e: (Term, Term)): Column = render(e._1) === render(e._2)
 
-    // WHERE (non-aggregate predicates); aggregate predicates become HAVING.
-    val preds = rule.body.collect { case PredAtom(t) => t }
-    val (havingPreds, wherePreds) = preds.partition(_.hasAgg)
-    val filtered = wherePreds.foldLeft(joined)((d, t) => d.where(render(t, colOf)))
-
-    // EXISTS / NOT EXISTS → semi/anti joins applied before projection.
-    val withExists = rule.body.collect { case e: ExistsAtom => e }
-      .foldLeft(filtered) { (d, e) => applyExists(d, e, env, rels, spark) }
-
-    val headCols = rule.head.cols
-
-    val projected: DataFrame =
-      if (rule.hasAgg) {
-        val havingCols = havingPreds.zipWithIndex.map { case (t, i) => render(t, colOf).as(s"__having_$i") }
-        if (rule.head.group.isEmpty) {
-          // scalar aggregate (no grouping)
-          val exprs = headCols.map { case (n, t) => render(t, colOf).as(n) } ++ havingCols
-          val agged = withExists.agg(exprs.head, exprs.tail: _*)
-          havingPreds.indices.foldLeft(agged)((d, i) => d.where(col(s"__having_$i")))
-            .select(headCols.map { case (n, _) => col(n) }: _*)
-        } else {
-          // A head column is a grouping key iff it is a bare var from the
-          // group list; everything else must be (or contain) an aggregate.
-          def isKey(c: (String, Term)): Boolean = c._2 match {
-            case TVar(v) => rule.head.group.contains(v); case _ => false }
-          val aggCols = headCols.filterNot(isKey)
-          val exprs = aggCols.map { case (n, t) => render(t, colOf).as(n) } ++ havingCols
-          val grouped = withExists.groupBy(
-            rule.head.group.map(g => colOf(g).as(s"__k_$g")): _*)
-          val agged =
-            if (exprs.nonEmpty) grouped.agg(exprs.head, exprs.tail: _*)
-            else grouped.agg(count(lit(1)).as("__cnt")).drop("__cnt")
-          val withHaving = havingPreds.indices.foldLeft(agged)((d, i) => d.where(col(s"__having_$i")))
-          // Re-project in head order: group keys via their __k_ alias.
-          val out = headCols.map {
-            case (n, TVar(v)) if rule.head.group.contains(v) => col(s"__k_$v").as(n)
-            case (n, _)                                      => col(n)
-          }
-          withHaving.select(out: _*)
-        }
-      } else {
-        withExists.select(headCols.map { case (n, t) => render(t, colOf).as(n) }: _*)
-      }
-
-    val distincted = if (rule.head.distinct) projected.distinct() else projected
-    val sorted =
-      if (rule.head.sort.nonEmpty)
-        distincted.orderBy(rule.head.sort.map { case (c, asc) => if (asc) col(c).asc else col(c).desc }: _*)
-      else distincted
-    rule.head.limit.map(n => sorted.limit(n.toInt)).getOrElse(sorted)
-  }
-
-  /** Join the body's relation/constant atoms left-to-right, returning the
-    * joined DataFrame and the var → unique-column-name environment. */
-  private def buildBody(body: Vector[Atom], rels: Map[String, DataFrame],
-                        outerEnv: Map[String, String], spark: SparkSession,
-                        tag: String): (DataFrame, Map[String, String]) = {
-    val items = body.collect { case r: RelAtom => Left(r); case c: ConstAtom => Right(c) }
-    require(items.nonEmpty, "empty body")
-    var env = Map.empty[String, String]
-    var df: DataFrame = null
-    items.zipWithIndex.foreach { case (item, i) =>
-      val (src, vars, outer) = item match {
-        case Left(r) =>
-          val base = rels.getOrElse(r.rel, sys.error(s"sparkgen: unknown relation ${r.rel}"))
-          (base, r.vars, r.outerOn)
-        case Right(c) =>
-          val schema = StructType(c.rows.head.zipWithIndex.map { case (v, k) =>
-            StructField(s"c$k", litType(v.v), nullable = true) })
-          val rows = c.rows.map(r => Row.fromSeq(r.map(_.v)))
-          (spark.createDataFrame(spark.sparkContext.parallelize(rows.toSeq, 1), schema), c.vars, None)
-      }
-      val uniq = vars.indices.map(k => s"__${tag}${i}_c$k")
-      val renamed = src.toDF(uniq: _*)
-      if (i == 0) { df = renamed; vars.zipWithIndex.foreach { case (v, k) => if (!env.contains(v)) env += v -> uniq(k) } }
+  /** Print one rule's plan against already-materialized relation DataFrames.
+    * Spark analyses each operation as it is built, so an error names the rule. */
+  private def compileRule(plan: Plan, rels: Map[String, DataFrame], spark: SparkSession): DataFrame = try {
+    val df = plan.body.where.foldLeft(body(plan.body, rels, spark))((d, t) => d.where(render(t)))
+    val projected =
+      if (!plan.aggregate) df.select(plan.cols.map { case (n, t, _) => render(t).as(n) }: _*)
       else {
-        var conds = Vector.empty[Column]
-        var newBinds = Vector.empty[(String, String)]
-        vars.zipWithIndex.foreach { case (v, k) =>
-          env.get(v) match {
-            case Some(prev) => conds :+= (col(prev) === col(uniq(k)))
-            case None       => newBinds :+= v -> uniq(k)
-          }
-        }
-        outer match {
-          case Some((kind, on)) =>
-            val tmpEnv = env ++ newBinds
-            def oc(v: String): Column = col(tmpEnv.getOrElse(v, outerEnv(v)))
-            val onCond = (conds :+ render(on, oc)).reduce(_ && _)
-            val jt = kind match { case "left" => "left"; case "right" => "right"; case "full" => "full" }
-            df = df.join(renamed, onCond, jt)
-          case None =>
-            val cond = if (conds.nonEmpty) conds.reduce(_ && _) else lit(true)
-            df = df.join(renamed, cond, "inner")
-        }
-        env = env ++ newBinds
+        // Aggregate columns and HAVING terms are computed per group, group
+        // keys come out under `__k_i`; then HAVING filters and the head order.
+        val having = plan.having.indices.map(i => s"__having_$i")
+        val aggs = plan.cols.collect { case (n, t, None) => render(t).as(n) } ++
+          plan.having.zip(having).map { case (t, n) => render(t).as(n) }
+        val grouped = df.groupBy(plan.group.zipWithIndex.map { case (g, i) => render(g).as(s"__k_$i") }: _*)
+        val agged =
+          if (aggs.nonEmpty) grouped.agg(aggs.head, aggs.tail: _*)
+          else grouped.agg(count(lit(1)).as("__cnt")).drop("__cnt")
+        agged.where(and(having.map(col)))
+          .select(plan.cols.map { case (n, _, k) => k.fold(col(n))(i => col(s"__k_$i")).as(n) }: _*)
       }
-    }
-    (df, env)
+    val h = plan.head
+    val distincted = if (h.distinct) projected.distinct() else projected
+    val sorted =
+      if (h.sort.nonEmpty) distincted.orderBy(h.sort.map { case (c, asc) => if (asc) col(c).asc else col(c).desc }: _*)
+      else distincted
+    h.limit.map(n => sorted.limit(n.toInt)).getOrElse(sorted)
+  } catch {
+    case e: AnalysisException =>
+      throw new IllegalArgumentException(s"sparkgen: ${e.getMessage} in ${show(plan.rule)}", e)
   }
 
-  /** Semi/anti join for an exists atom. Inner-only predicates filter the
-    * inner side; predicates touching outer vars join the two sides. */
-  private def applyExists(outerDf: DataFrame, e: ExistsAtom,
-                          outerEnv: Map[String, String],
-                          rels: Map[String, DataFrame], spark: SparkSession): DataFrame = {
-    val tag = s"x${System.identityHashCode(e) & 0xffff}_"
-    val innerBound = e.body.flatMap(allRelAtoms).flatMap(_.vars).toSet
-    val innerPreds  = e.body.collect { case PredAtom(t) if t.vars.forall(innerBound) && !t.vars.exists(outerEnv.contains) => t }
-    val crossPreds  = e.body.collect { case PredAtom(t) if t.vars.exists(outerEnv.contains) => t }
-    val assignOf    = e.body.collect { case AssignAtom(v, t) => v -> t }.toMap
-
-    val (innerDf0, innerEnv) = buildBody(e.body, rels, outerEnv, spark, tag)
-    def innerCol(v: String): Column =
-      innerEnv.get(v).map(col).getOrElse(assignOf.get(v).map(t => render(t, innerCol))
-        .getOrElse(sys.error(s"sparkgen: unbound inner var $v")))
-    val innerDf = innerPreds.foldLeft(innerDf0)((d, t) => d.where(render(t, innerCol)))
-
-    // Correlation: vars bound on both sides (inner atoms re-binding an outer
-    // var get their own column; correlate by equality).
-    val shared = innerEnv.keySet.intersect(outerEnv.keySet)
-    val eqConds  = shared.toVector.map(v => col(outerEnv(v)) === col(innerEnv(v)))
-    val xConds   = crossPreds.map(t => render(t, v =>
-      if (outerEnv.contains(v)) col(outerEnv(v))
-      else innerCol(v)))
-    val allConds = eqConds ++ xConds
-    val cond = if (allConds.nonEmpty) allConds.reduce(_ && _) else lit(true)
-    outerDf.join(innerDf, cond, if (e.negated) "left_anti" else "left_semi")
+  /** The body's scans, each column renamed to its plan reference, joined in
+    * order: equalities and ON terms become join conditions. Then each semi/anti
+    * child is a `left_semi` / `left_anti` join whose condition holds the
+    * child's correlation and WHERE terms, so they may read this body's columns. */
+  private def body(b: Body, rels: Map[String, DataFrame], spark: SparkSession): DataFrame = {
+    val dfs = b.scans.map { s =>
+      val src = s.source match {
+        case Left(rel) => rels.getOrElse(rel, sys.error(s"sparkgen: unknown relation $rel"))
+        case Right(rows) =>
+          val schema = StructType(rows.head.zipWithIndex.map { case (v, k) =>
+            StructField(s"c$k", litType(v.v), nullable = true) })
+          spark.createDataFrame(spark.sparkContext.parallelize(rows.map(r => Row.fromSeq(r.map(_.v))), 1), schema)
+      }
+      src.toDF(s.refs: _*)
+    }
+    val joined = b.scans.zip(dfs).tail.foldLeft(dfs.head.where(and(b.scans.head.eqs.map(equal)))) {
+      case (d, (s, right)) =>
+        d.join(right, and(s.eqs.map(equal) ++ s.outer.map(o => render(o._2))), s.outer.fold("inner")(_._1))
+    }
+    b.semis.foldLeft(joined) { (d, s) =>
+      val cond = and(s.correlation.map(equal) ++ s.body.where.map(render))
+      d.join(body(s.body, rels, spark), cond, if (s.negated) "left_anti" else "left_semi")
+    }
   }
 
   private def litType(v: Any): DataType = v match {
@@ -179,25 +99,25 @@ object SparkGen {
     case _                => StringType
   }
 
-  /** Render a term as a Catalyst Column. */
-  def render(t: Term, colOf: String => Column): Column = t match {
-    case TVar(v)   => colOf(v)
+  /** Render a plan term as a Catalyst Column. */
+  def render(t: Term): Column = t match {
+    case TVar(name) => ref(name)
     case TConst(d: java.time.LocalDate) => lit(java.sql.Date.valueOf(d))
     case TConst(i: Int) => lit(i.toLong)
     case TConst(v) => lit(v)
     case TAgg("count", TConst(_), false) => count(lit(1))
-    case TAgg("count", a, true)  => countDistinct(render(a, colOf))
-    case TAgg("count", a, false) => count(render(a, colOf))
-    case TAgg("sum", a, _)   => sum(render(a, colOf))
-    case TAgg("min", a, _)   => min(render(a, colOf))
-    case TAgg("max", a, _)   => max(render(a, colOf))
-    case TAgg("avg", a, _)   => avg(render(a, colOf))
+    case TAgg("count", a, true)  => countDistinct(render(a))
+    case TAgg("count", a, false) => count(render(a))
+    case TAgg("sum", a, _)   => sum(render(a))
+    case TAgg("min", a, _)   => min(render(a))
+    case TAgg("max", a, _)   => max(render(a))
+    case TAgg("avg", a, _)   => avg(render(a))
     case TAgg(f, _, _)       => sys.error(s"sparkgen: agg $f")
-    case TIf(c, a, b)  => when(render(c, colOf), render(a, colOf)).otherwise(render(b, colOf))
+    case TIf(c, a, b)  => when(render(c), render(a)).otherwise(render(b))
     case TBin("in", l, TExt("list", vals)) =>
-      render(l, colOf).isin(vals.map { case TConst(v) => v; case x => sys.error(s"in-list: $x") }: _*)
+      render(l).isin(vals.map { case TConst(v) => v; case x => sys.error(s"in-list: $x") }: _*)
     case TBin(op, l, r) =>
-      val (a, b) = (render(l, colOf), render(r, colOf))
+      val (a, b) = (render(l), render(r))
       op match {
         case "+" => a + b;  case "-" => a - b; case "*" => a * b; case "/" => a / b
         case "%" => a % b
@@ -210,17 +130,18 @@ object SparkGen {
       }
     case TExt("uid", args) =>
       val w = if (args.isEmpty) Window.orderBy(monotonically_increasing_id())
-              else Window.orderBy(args.map(render(_, colOf)): _*)
+              else Window.orderBy(args.map(render(_)): _*)
       row_number().over(w).cast(LongType) - 1L
-    case TExt("year", Seq(x))   => year(render(x, colOf)).cast(LongType)
+    case TExt("year", Seq(x))   => year(render(x)).cast(LongType)
     case TExt("substr", Seq(x, f, l)) =>
       def asInt(t: Term): Int = t match {
         case TConst(i: Int) => i; case TConst(i: Long) => i.toInt
         case other => sys.error(s"substr bound must be constant: $other") }
-      substring(render(x, colOf), asInt(f), asInt(l))
-    case TExt("round", Seq(x, TConst(n: Int))) => round(render(x, colOf), n)
-    case TExt("neg", Seq(x))    => -render(x, colOf)
-    case TExt("length", Seq(x)) => length(render(x, colOf)).cast(LongType)
+      substring(render(x), asInt(f), asInt(l))
+    case TExt("round", Seq(x, TConst(n: Int))) => round(render(x), n)
+    case TExt("inline", Seq(x)) => render(x)
+    case TExt("neg", Seq(x))    => -render(x)
+    case TExt("length", Seq(x)) => length(render(x)).cast(LongType)
     case TExt(f, _) => sys.error(s"sparkgen: unknown external $f")
   }
 }

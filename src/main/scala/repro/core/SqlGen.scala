@@ -1,14 +1,15 @@
 package repro.core
 
 import TondIR._
+import RulePlan.{Body, Scan}
 
 /** TondIR → SQL code generation (§III-E).
   *
   * Each rule becomes a Common Table Expression; the final rule becomes the
   * top-level SELECT so its ORDER BY / LIMIT survive (CTEs do not preserve
-  * order). Joins are emitted as an explicit JOIN chain derived from
-  * Datalog-style variable unification; `exists` atoms become (NOT) EXISTS
-  * subqueries; UID() becomes a ROW_NUMBER window (0-based).
+  * order). This object only prints each rule's [[RulePlan]]: scans become an
+  * explicit JOIN chain, semi/anti children (NOT) EXISTS subqueries, and UID()
+  * a ROW_NUMBER window (0-based).
   *
   * Backend adaptation (§III-E) is confined to [[SqlDialect]]: the only
   * engine-visible differences we need are inline VALUES relations and
@@ -49,144 +50,71 @@ object SqlGen {
     "=" -> "=", "<>" -> "<>", "<" -> "<", "<=" -> "<=", ">" -> ">", ">=" -> ">=",
     "and" -> "AND", "or" -> "OR", "like" -> "LIKE", "notlike" -> "NOT LIKE")
 
-  /** Render a term to SQL. `env` resolves a variable to a column reference or
-    * an inlined expression; aggregation arguments are rendered recursively. */
-  def term(t: Term, env: String => String): String = t match {
-    case TVar(v)       => env(v)
+  /** Render a plan term to SQL: variables are column references, and an
+    * inlined assignment is parenthesized. */
+  def term(t: Term): String = t match {
+    case TVar(ref)     => ref
     case TConst(v)     => const(v)
     case TAgg("count", TConst(_), false) => "COUNT(*)"
-    case TAgg(f, a, d) => s"${f.toUpperCase}(${if (d) "DISTINCT " else ""}${term(a, env)})"
-    case TIf(c, a, b)  => s"CASE WHEN ${term(c, env)} THEN ${term(a, env)} ELSE ${term(b, env)} END"
-    case TBin("in", l, TExt("list", vals)) =>
-      s"${term(l, env)} IN (${vals.map(term(_, env)).mkString(", ")})"
-    case TBin(op, l, r) =>
-      s"(${term(l, env)} ${binOps.getOrElse(op, sys.error(s"sqlgen: op $op"))} ${term(r, env)})"
+    case TAgg(f, a, d) => s"${f.toUpperCase}(${if (d) "DISTINCT " else ""}${term(a)})"
+    case TIf(c, a, b)  => s"CASE WHEN ${term(c)} THEN ${term(a)} ELSE ${term(b)} END"
+    case TBin("in", l, TExt("list", vals)) => s"${term(l)} IN (${vals.map(term).mkString(", ")})"
+    case TBin(op, l, r) => s"(${term(l)} ${binOps.getOrElse(op, sys.error(s"sqlgen: op $op"))} ${term(r)})"
+    case TExt("inline", Seq(x)) => s"(${term(x)})"
     case TExt("uid", args) =>
-      val ob = if (args.isEmpty) "(SELECT 1)" else args.map(term(_, env)).mkString(", ")
+      val ob = if (args.isEmpty) "(SELECT 1)" else args.map(term).mkString(", ")
       s"(ROW_NUMBER() OVER (ORDER BY $ob) - 1)"
-    case TExt("year", Seq(x))   => s"YEAR(${term(x, env)})"
-    case TExt("substr", Seq(x, f, l)) => s"SUBSTR(${term(x, env)}, ${term(f, env)}, ${term(l, env)})"
-    case TExt("round", Seq(x, n)) => s"ROUND(${term(x, env)}, ${term(n, env)})"
-    case TExt("neg", Seq(x))    => s"(-${term(x, env)})"
-    case TExt("length", Seq(x)) => s"LENGTH(${term(x, env)})"
-    case TExt(f, _)             => sys.error(s"sqlgen: unknown external $f")
+    case TExt("year", Seq(x))         => s"YEAR(${term(x)})"
+    case TExt("substr", Seq(x, f, l)) => s"SUBSTR(${term(x)}, ${term(f)}, ${term(l)})"
+    case TExt("round", Seq(x, n))     => s"ROUND(${term(x)}, ${term(n)})"
+    case TExt("neg", Seq(x))          => s"(-${term(x)})"
+    case TExt("length", Seq(x))       => s"LENGTH(${term(x)})"
+    case TExt(f, _)                   => sys.error(s"sqlgen: unknown external $f")
   }
 
-  /** Environment for one rule body: resolves variables to column refs,
-    * accumulating join equalities for repeated bindings. */
-  private final class Env(assignOf: Map[String, Term]) {
-    val bound = scala.collection.mutable.LinkedHashMap[String, String]()
-    val equalities = scala.collection.mutable.ArrayBuffer[String]()
+  private def equal(e: (Term, Term)): String = s"${term(e._1)} = ${term(e._2)}"
 
-    def bind(v: String, colRef: String): Unit =
-      bound.get(v) match {
-        case Some(prev) => equalities += s"$prev = $colRef"
-        case None       => bound(v) = colRef
+  private def source(s: Scan, d: SqlDialect): String =
+    s.source.fold(rel => s"$rel AS ${s.alias}", rows => d.valuesRel(rows, s.alias, s.cols))
+
+  /** FROM items and the equalities they leave to WHERE. The rule's own body
+    * is a JOIN chain, one item per line; an EXISTS body is a comma list with
+    * its equalities in WHERE, unless it holds an outer join. */
+  private def from(b: Body, d: SqlDialect, top: Boolean): (String, Vector[String]) =
+    if (!top && b.scans.forall(_.outer.isEmpty))
+      (b.scans.map(source(_, d)).mkString(", "), b.scans.flatMap(_.eqs).map(equal))
+    else {
+      val joins = b.scans.tail.map { s =>
+        val on = s.eqs.map(equal) ++ s.outer.map(o => term(o._2))
+        val kw = s.outer.fold(if (on.isEmpty) "CROSS JOIN" else "JOIN")(_._1.toUpperCase + " JOIN")
+        s"$kw ${source(s, d)}${if (on.isEmpty) "" else " ON " + on.mkString(" AND ")}"
       }
+      ((source(b.scans.head, d) +: joins).mkString(if (top) "\n  " else " "), b.scans.head.eqs.map(equal))
+    }
 
-    /** Bind; returns the equality produced if the var was already bound
-      * (used for join ON clauses instead of WHERE). */
-    def bindForJoin(v: String, colRef: String): Option[String] =
-      bound.get(v) match {
-        case Some(prev) => Some(s"$prev = $colRef")
-        case None       => bound(v) = colRef; None
-      }
-
-    def resolve(v: String): String =
-      bound.getOrElse(v,
-        assignOf.get(v).map(t => s"(${term(t, resolve)})")
-          .getOrElse(sys.error(s"sqlgen: unbound var $v")))
+  /** WHERE terms, then (NOT) EXISTS subqueries. */
+  private def filters(b: Body, d: SqlDialect): Vector[String] = b.where.map(term) ++ b.semis.map { s =>
+    val (fromSql, eqs) = from(s.body, d, top = false)
+    val conds = eqs ++ s.correlation.map(equal) ++ filters(s.body, d)
+    val where = if (conds.isEmpty) "" else conds.mkString(" WHERE ", " AND ", "")
+    s"${if (s.negated) "NOT " else ""}EXISTS (SELECT 1 FROM $fromSql$where)"
   }
-
-  /** Column names of a relation: from earlier rule heads, else the catalog. */
-  private def schemaOf(rel: String, p: Program, cat: Catalog): Vector[String] =
-    p.defining(rel).map(_.head.colNames).getOrElse(cat.schema(rel))
 
   def ruleSql(rule: Rule, p: Program, cat: Catalog, d: SqlDialect): String = {
-    val assignOf = rule.assigns.map(a => a.v -> a.t).toMap
-    val env = new Env(assignOf)
-    var aliasN = 0
-    def nextAlias(): String = { aliasN += 1; s"t$aliasN" }
-
-    // FROM chain ---------------------------------------------------------
-    val fromItems = rule.body.collect { case r: RelAtom => Left(r); case c: ConstAtom => Right(c) }
-    require(fromItems.nonEmpty, s"rule with empty FROM: ${show(rule)}")
-    val sb = new StringBuilder
-    fromItems.zipWithIndex.foreach { case (item, i) =>
-      val alias = nextAlias()
-      val (src, vars, outer) = item match {
-        case Left(r)  => (s"${r.rel} AS $alias", r.vars, r.outerOn)
-        case Right(c) => (d.valuesRel(c.rows, alias, c.vars.map(v => s"c_$v")), c.vars, None)
-      }
-      val colOf: Int => String = item match {
-        case Left(r)  => val sc = schemaOf(r.rel, p, cat); k => s"$alias.${sc(k)}"
-        case Right(c) => k => s"$alias.c_${c.vars(k)}"
-      }
-      if (i == 0) { sb ++= src; vars.zipWithIndex.foreach { case (v, k) => env.bind(v, colOf(k)) } }
-      else {
-        val conds = vars.zipWithIndex.flatMap { case (v, k) => env.bindForJoin(v, colOf(k)) }
-        outer match {
-          case Some((kind, on)) =>
-            val kw = kind match { case "left" => "LEFT JOIN"; case "right" => "RIGHT JOIN"
-                                  case "full" => "FULL JOIN"; case k => sys.error(s"outer $k") }
-            val onSql = (conds :+ term(on, env.resolve)).mkString(" AND ")
-            sb ++= s"\n  $kw $src ON $onSql"
-          case None if conds.nonEmpty => sb ++= s"\n  JOIN $src ON ${conds.mkString(" AND ")}"
-          case None                   => sb ++= s"\n  CROSS JOIN $src"
-        }
-      }
-    }
-    val fromSql = sb.toString
-
-    // WHERE / HAVING -----------------------------------------------------
-    val preds = rule.body.collect { case PredAtom(t) => t }
-    val (havingPreds, wherePreds) = preds.partition(_.hasAgg)
-    val existsSql = rule.body.collect { case e: ExistsAtom => existsSubquery(e, env, p, cat, d, () => nextAlias()) }
-    val whereAll = env.equalities.toVector ++ wherePreds.map(t => term(t, env.resolve)) ++ existsSql
-
-    // SELECT -------------------------------------------------------------
-    val selCols = rule.head.cols.map { case (n, t) => s"${term(t, env.resolve)} AS $n" }
-    val groupBy = rule.head.group.map(env.resolve)
-
+    val plan = RulePlan(rule, p, cat)
+    val h = plan.head
+    val (fromSql, eqs) = from(plan.body, d, top = true)
+    val where = eqs ++ filters(plan.body, d)
     val q = new StringBuilder
-    q ++= s"SELECT ${if (rule.head.distinct) "DISTINCT " else ""}${selCols.mkString(", ")}"
+    q ++= s"SELECT ${if (h.distinct) "DISTINCT " else ""}${plan.cols.map { case (n, t, _) => s"${term(t)} AS $n" }.mkString(", ")}"
     q ++= s"\nFROM $fromSql"
-    if (whereAll.nonEmpty) q ++= s"\nWHERE ${whereAll.mkString("\n  AND ")}"
-    if (groupBy.nonEmpty) q ++= s"\nGROUP BY ${groupBy.mkString(", ")}"
-    if (havingPreds.nonEmpty) q ++= s"\nHAVING ${havingPreds.map(t => term(t, env.resolve)).mkString(" AND ")}"
-    if (rule.head.sort.nonEmpty)
-      q ++= s"\nORDER BY ${rule.head.sort.map { case (c, asc) => s"$c${if (asc) "" else " DESC"}" }.mkString(", ")}"
-    rule.head.limit.foreach(n => q ++= s"\nLIMIT $n")
+    if (where.nonEmpty) q ++= s"\nWHERE ${where.mkString("\n  AND ")}"
+    if (plan.group.nonEmpty) q ++= s"\nGROUP BY ${plan.group.map(term).mkString(", ")}"
+    if (plan.having.nonEmpty) q ++= s"\nHAVING ${plan.having.map(term).mkString(" AND ")}"
+    if (h.sort.nonEmpty)
+      q ++= s"\nORDER BY ${h.sort.map { case (c, asc) => s"$c${if (asc) "" else " DESC"}" }.mkString(", ")}"
+    h.limit.foreach(n => q ++= s"\nLIMIT $n")
     q.toString
-  }
-
-  private def existsSubquery(e: ExistsAtom, outer: Env, p: Program, cat: Catalog,
-                             d: SqlDialect, nextAlias: () => String): String = {
-    val assignOf = e.body.collect { case AssignAtom(v, t) => v -> t }.toMap
-    val inner = new Env(assignOf)
-    val correlations = scala.collection.mutable.ArrayBuffer[String]()
-    val sb = new StringBuilder
-    val items = e.body.collect { case r: RelAtom => r }
-    items.zipWithIndex.foreach { case (r, i) =>
-      val alias = nextAlias()
-      val sc = schemaOf(r.rel, p, cat)
-      if (i == 0) sb ++= s"${r.rel} AS $alias" else sb ++= s", ${r.rel} AS $alias"
-      r.vars.zipWithIndex.foreach { case (v, k) =>
-        val ref = s"$alias.${sc(k)}"
-        if (inner.bound.contains(v)) inner.bind(v, ref)        // intra-subquery join
-        else if (outer.bound.contains(v)) { correlations += s"${outer.bound(v)} = $ref"; inner.bound(v) = ref }
-        else inner.bind(v, ref)
-      }
-    }
-    // Predicates may reference outer vars (correlated conditions).
-    def resolve(v: String): String =
-      if (inner.bound.contains(v)) inner.resolve(v)
-      else if (outer.bound.contains(v)) outer.bound(v)
-      else inner.resolve(v)
-    val preds = e.body.collect { case PredAtom(t) => term(t, resolve) }
-    val conds = inner.equalities.toVector ++ correlations ++ preds
-    val whereSql = if (conds.nonEmpty) s" WHERE ${conds.mkString(" AND ")}" else ""
-    s"${if (e.negated) "NOT " else ""}EXISTS (SELECT 1 FROM ${sb.toString}$whereSql)"
   }
 
   /** Full program → one SQL statement: CTE chain + final SELECT. */

@@ -34,15 +34,18 @@ object TondIR {
       case _             => false
     }
 
-    /** Rename variables via `f` (identity for names not in the map domain). */
-    def rename(f: String => String): Term = this match {
-      case TVar(n)        => TVar(f(n))
+    /** Replace every variable `n` by the term `f(n)`. */
+    def subst(f: String => Term): Term = this match {
+      case TVar(n)        => f(n)
       case c: TConst      => c
-      case TAgg(g, a, d)  => TAgg(g, a.rename(f), d)
-      case TExt(g, as)    => TExt(g, as.map(_.rename(f)))
-      case TIf(c, t, e)   => TIf(c.rename(f), t.rename(f), e.rename(f))
-      case TBin(o, l, r)  => TBin(o, l.rename(f), r.rename(f))
+      case TAgg(g, a, d)  => TAgg(g, a.subst(f), d)
+      case TExt(g, as)    => TExt(g, as.map(_.subst(f)))
+      case TIf(c, t, e)   => TIf(c.subst(f), t.subst(f), e.subst(f))
+      case TBin(o, l, r)  => TBin(o, l.subst(f), r.subst(f))
     }
+
+    /** Rename variables via `f` (identity for names not in the map domain). */
+    def rename(f: String => String): Term = subst(n => TVar(f(n)))
   }
 
   /** Variable access. */

@@ -81,6 +81,27 @@ class OptimizerSpec extends AnyFunSuite {
     assert(out.rules.head.assigns.head.t == TConst(1L))
   }
 
+  test("group-aggregate elimination leaves a rule that counts a column alone") {
+    // count(x) is 0 where x is NULL, count(distinct x) is 1: neither unwraps to x or 1.
+    for (agg <- Seq(TAgg("count", v("x")), TAgg("count", v("x"), distinct = true))) {
+      val r = Rule(
+        Head("R1", Vector("id" -> v("id"), "n" -> v("n"), "s" -> v("s")), group = Vector("id")),
+        Vector(RelAtom("S", Vector("id", "x", "y")), AssignAtom("n", agg),
+               AssignAtom("s", TAgg("sum", v("y")))))
+      assert(Optimizer.groupAggElim(Program(Vector(r), "R1"), cat).rules.head == r)
+    }
+  }
+
+  test("group-aggregate elimination unwraps aggregate predicates (HAVING)") {
+    val r = Rule(
+      Head("R1", Vector("id" -> v("id"), "s" -> v("s")), group = Vector("id")),
+      Vector(RelAtom("S", Vector("id", "x", "y")), AssignAtom("s", TAgg("sum", v("x"))),
+             PredAtom(TBin(">", TAgg("max", v("y")), TConst(10L)))))
+    val o = Optimizer.groupAggElim(Program(Vector(r), "R1"), cat).rules.head
+    assert(o.head.group.isEmpty)
+    assert(o.body.contains(PredAtom(TBin(">", v("y"), TConst(10L)))), TondIR.show(o))
+  }
+
   test("group-aggregate elimination leaves non-unique groupings alone") {
     val r = Rule(
       Head("R1", Vector("x" -> v("x"), "s" -> v("s")), group = Vector("x")),
@@ -161,6 +182,12 @@ class OptimizerSpec extends AnyFunSuite {
              RelAtom("F", Vector("fid", "fx"), Some(("left", TBin("=", v("a"), v("fid")))))))
     val out = Optimizer.inlineRules(Program(Vector(filt, lj), "L"))
     assert(out.rules.size == 2)
+  }
+
+  test("a fixpoint loop that never settles fails and names the level") {
+    val p = Program(Vector(Rule(Head("P", Vector("a" -> v("a"))), Vector(RelAtom("R", Vector("a", "b", "c", "d"))))), "P")
+    val e = intercept[RuntimeException](Optimizer.fix(p, 3)(q => q.copy(result = q.result + "'")))
+    assert(e.getMessage.contains("O3"), e.getMessage)
   }
 
   test("optimization levels compose monotonically (rule count never grows)") {
