@@ -12,16 +12,18 @@ import repro.mini.MiniPandas
   *
   * Scale factor and iteration counts come from the environment
   * (`REPRO_BENCH_SF`, default 0.1 ≈ 100 MB; `REPRO_BENCH_ITERS`,
-  * `REPRO_BENCH_WARMUP`). Inputs are materialized once as Parquet under
-  * `bench_data/` — Spark reads them as files (a fair cold-ish scan, and it
-  * sidesteps cached-plan interference) and DuckDB ingests them via
+  * `REPRO_BENCH_WARMUP`). Every run writes its inputs as Parquet under
+  * `target/inputs/` (paths are relative to the forked test JVM's working
+  * directory, `bench/`) — Spark reads them as files (a fair cold-ish scan,
+  * and it sidesteps cached-plan interference) and DuckDB ingests them via
   * `read_parquet`. The DuckDB thread count is set per measurement
   * (`SET threads TO n`), which provides the paper's 1..4-thread sweeps.
   *
   * Timing: `best of iters` after `warmup` warm-up rounds, reported in ms
   * (the paper reports the mean of 5 rounds after 5 warm-ups at SF=1; we
   * shrink both to keep the full table regeneration under an hour).
-  * Results are printed as table rows and appended to TSVs in `bench_results/`.
+  * Results are printed as table rows and appended to TSVs in the checkout's
+  * `bench_results/`.
   */
 object Bench {
   val SF: Double  = sys.env.getOrElse("REPRO_BENCH_SF", "0.1").toDouble
@@ -34,18 +36,21 @@ object Bench {
     s
   }
 
-  private val dataDir = s"/root/repo/bench_data/sf$SF"
-  private val resultDir = new java.io.File("/root/repo/bench_results")
+  val inputDir = "target/inputs"
+  private val dataDir = s"$inputDir/sf$SF"
+  private val resultDir = new java.io.File("../bench_results")
+
+  /** Write `df` to `path` as Parquet, replacing what is there, and read it back. */
+  def parquet(df: DataFrame, path: String): DataFrame = {
+    df.write.mode("overwrite").parquet(path)
+    spark.read.parquet(path)
+  }
 
   /** All base tables (TPC-H + notebook/hybrid) as Parquet-backed frames. */
-  lazy val inputs: Map[String, DataFrame] = {
-    val gen = TpchData.tables(spark, SF) ++ NotebookData.tables(spark, SF)
-    gen.map { case (n, df) =>
-      val path = s"$dataDir/$n"
-      if (!new java.io.File(path, "_SUCCESS").exists()) df.write.mode("overwrite").parquet(path)
-      n -> spark.read.parquet(path)
+  lazy val inputs: Map[String, DataFrame] =
+    (TpchData.tables(spark, SF) ++ NotebookData.tables(spark, SF)).map { case (n, df) =>
+      n -> parquet(df, s"$dataDir/$n")
     }
-  }
 
   val catalog: Catalog = Catalog(
     TpchData.catalog.schemas ++ NotebookData.catalog.schemas,
@@ -86,12 +91,16 @@ object Bench {
   def runPython(df: Dsl.Df): Double = bench { MiniPandas.run(df, mini) }
 
   /** DuckDB backend at a given optimization level and thread count.
-    * (O0 = Grizzly-simulated, O4 = PyTond.) DuckDB runs are cheap but
-    * sit inside a JVM running Spark, so they take extra rounds to shake
-    * off GC/scheduler noise. */
-  def runDuck(df: Dsl.Df, level: Int, threads: Int): Double = {
+    * (O0 = Grizzly-simulated, O4 = PyTond.) The result is first checked
+    * against the program's reference SQL, so a wrong plan fails instead of
+    * being timed. DuckDB runs are cheap but sit inside a JVM running Spark,
+    * so they take extra rounds to shake off GC/scheduler noise. */
+  def runDuck(df: Dsl.Df, refSql: String, level: Int, threads: Int): Double = {
     val sql = Pipeline.toSql(df, catalog, SqlGen.DuckDialect, level)
     duckThreads(threads)
+    try Oracle.assertSqlEquivalent(duck, sql, refSql)
+    catch { case e: IllegalArgumentException =>
+      throw new IllegalArgumentException(s"O$level, DuckDB threads=$threads: ${e.getMessage}", e) }
     def once(): Unit = {
       val rs = duck.createStatement.executeQuery(sql)
       while (rs.next()) {} // drain
@@ -113,6 +122,9 @@ object Bench {
     bench { Pipeline.toSpark(df, catalog, inputs, spark, level).collect() }
 
   // ---------------------------------------------------------------- output
+  /** Delete a table's TSV so this run's rows replace the previous run's. */
+  def clear(table: String): Unit = new java.io.File(resultDir, s"$table.tsv").delete()
+
   def record(table: String, header: Seq[String], row: Seq[Any]): Unit = {
     resultDir.mkdirs()
     val f = new java.io.File(resultDir, s"$table.tsv")

@@ -22,7 +22,7 @@ class CovarBench extends AnyFunSuite {
     "numpy_ms", "pytond_duck_dense", "pytond_duck_sparse",
     "pytond_spark_dense", "pytond_spark_sparse")
 
-  new java.io.File("/root/repo/bench_results/covar.tsv").delete()
+  clear("covar")
 
   private val maxRows = sys.env.getOrElse("REPRO_COVAR_MAX_ROWS", "200000").toLong
 
@@ -34,16 +34,11 @@ class CovarBench extends AnyFunSuite {
   for ((sweep, rows, cols, density) <- sweeps) {
     test(s"covariance $sweep rows=$rows cols=$cols density=$density") {
       val cat = CovarMicro.catalogFor(cols)
-      val dense = NotebookData.matrixDense(spark, rows, cols, density)
-      val coo   = NotebookData.matrixCoo(spark, rows, cols, density)
-
-      // materialize once (parquet) so every engine reads identical bytes
-      val dDir = s"/root/repo/bench_data/covar/dense_${rows}_${cols}_$density"
-      val cDir = s"/root/repo/bench_data/covar/coo_${rows}_${cols}_$density"
-      if (!new java.io.File(dDir, "_SUCCESS").exists()) dense.write.mode("overwrite").parquet(dDir)
-      if (!new java.io.File(cDir, "_SUCCESS").exists()) coo.write.mode("overwrite").parquet(cDir)
-      val denseP = spark.read.parquet(dDir)
-      val cooP   = spark.read.parquet(cDir)
+      // materialize as parquet so every engine reads identical bytes
+      val dDir = s"$inputDir/covar/dense_${rows}_${cols}_$density"
+      val cDir = s"$inputDir/covar/coo_${rows}_${cols}_$density"
+      val denseP = parquet(NotebookData.matrixDense(spark, rows, cols, density), dDir)
+      val cooP   = parquet(NotebookData.matrixCoo(spark, rows, cols, density), cDir)
 
       val conn = Oracle.connect()
       try {

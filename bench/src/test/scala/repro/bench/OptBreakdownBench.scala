@@ -15,16 +15,16 @@ class OptBreakdownBench extends AnyFunSuite {
 
   private val header = Seq("workload", "backend", "O0_ms", "O1_ms", "O2_ms", "O3_ms", "O4_ms")
 
-  new java.io.File("/root/repo/bench_results/opt_breakdown.tsv").delete()
+  clear("opt_breakdown")
 
   private val targets =
-    Seq("Q3", "Q9").map(q => q -> Tpch.byId(q.drop(1).toInt).build(catalog)) ++
+    Seq(3, 9).map(Tpch.byId).map(q => (s"Q${q.id}", q.build(catalog), q.refSql)) ++
     Seq(Notebooks.crimeIndex, Notebooks.n3, Hybrid.hybridCovar, Hybrid.hybridMatmul)
-      .map(w => w.name -> w.build(catalog))
+      .map(w => (w.name, w.build(catalog), w.refSql))
 
-  for ((name, d) <- targets) {
+  for ((name, d, ref) <- targets) {
     test(s"optimization breakdown $name (DuckDB)") {
-      val ts = (0 to 4).map(l => runDuck(d, level = l, threads = 4))
+      val ts = (0 to 4).map(l => runDuck(d, ref, level = l, threads = 4))
       record("opt_breakdown", header, Seq(name, "duckdb") ++ ts)
     }
     test(s"optimization breakdown $name (Catalyst)") {

@@ -13,17 +13,17 @@ class ScalabilityBench extends AnyFunSuite {
   private val header = Seq("workload", "t1_ms", "t2_ms", "t3_ms", "t4_ms",
     "speedup_t2", "speedup_t3", "speedup_t4")
 
-  new java.io.File("/root/repo/bench_results/scalability.tsv").delete()
+  clear("scalability")
 
   private val targets =
-    Seq("Q1", "Q4", "Q6", "Q13").map(q => q -> Tpch.byId(q.drop(1).toInt).build(catalog)) ++
+    Seq(1, 4, 6, 13).map(Tpch.byId).map(q => (s"Q${q.id}", q.build(catalog), q.refSql)) ++
     (Notebooks.all.filter(w => Set("CrimeIndex", "N3", "N9").contains(w.name)) ++
       Seq(Hybrid.hybridMatmul, Hybrid.hybridCovar))
-      .map(w => w.name -> w.build(catalog))
+      .map(w => (w.name, w.build(catalog), w.refSql))
 
-  for ((name, d) <- targets) {
+  for ((name, d, ref) <- targets) {
     test(s"scalability $name") {
-      val ts = (1 to 4).map(n => runDuck(d, level = 4, threads = n))
+      val ts = (1 to 4).map(n => runDuck(d, ref, level = 4, threads = n))
       record("scalability", header,
         name +: (ts ++ Seq(ts(0) / ts(1), ts(0) / ts(2), ts(0) / ts(3))))
     }

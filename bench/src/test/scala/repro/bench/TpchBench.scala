@@ -24,17 +24,17 @@ class TpchBench extends AnyFunSuite {
 
   private val rows = scala.collection.mutable.ArrayBuffer[Seq[Double]]()
 
-  new java.io.File("/root/repo/bench_results/tpch.tsv").delete()
-  new java.io.File("/root/repo/bench_results/tpch_summary.tsv").delete()
+  clear("tpch")
+  clear("tpch_summary")
 
   for (q <- Tpch.all) {
     test(s"bench Q${q.id}") {
       val d = q.build(catalog)
       val py  = runPython(d)
-      val gd1 = runDuck(d, level = 0, threads = 1)
-      val pd1 = runDuck(d, level = 4, threads = 1)
-      val gd4 = runDuck(d, level = 0, threads = 4)
-      val pd4 = runDuck(d, level = 4, threads = 4)
+      val gd1 = runDuck(d, q.refSql, level = 0, threads = 1)
+      val pd1 = runDuck(d, q.refSql, level = 4, threads = 1)
+      val gd4 = runDuck(d, q.refSql, level = 0, threads = 4)
+      val pd4 = runDuck(d, q.refSql, level = 4, threads = 4)
       val gs  = runSparkSql(d, level = 0)
       val ps  = runSparkSql(d, level = 4)
       val pdf = runSparkDf(d, level = 4)

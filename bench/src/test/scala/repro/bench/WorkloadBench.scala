@@ -13,15 +13,15 @@ class WorkloadBench extends AnyFunSuite {
     "grizzly_duck_t1", "pytond_duck_t1", "grizzly_duck_t4", "pytond_duck_t4",
     "grizzly_spark", "pytond_spark", "pytond_sparkdf")
 
-  new java.io.File("/root/repo/bench_results/workloads.tsv").delete()
+  clear("workloads")
 
   for (w <- Notebooks.all ++ Hybrid.all) {
     test(s"bench ${w.name}") {
       val d = w.build(catalog)
       val r = Seq(
         runPython(d),
-        runDuck(d, level = 0, threads = 1), runDuck(d, level = 4, threads = 1),
-        runDuck(d, level = 0, threads = 4), runDuck(d, level = 4, threads = 4),
+        runDuck(d, w.refSql, level = 0, threads = 1), runDuck(d, w.refSql, level = 4, threads = 1),
+        runDuck(d, w.refSql, level = 0, threads = 4), runDuck(d, w.refSql, level = 4, threads = 4),
         runSparkSql(d, level = 0), runSparkSql(d, level = 4),
         runSparkDf(d, level = 4))
       record("workloads", header, w.name +: r)

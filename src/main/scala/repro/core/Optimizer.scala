@@ -233,17 +233,10 @@ object Optimizer {
       if (subst.isEmpty) r
       else {
         val f: String => String = v => subst.getOrElse(v, v)
-        def fixAtom(at: Atom): Atom = at match {
-          case RelAtom(rel, vs, o) => RelAtom(rel, vs.map(f), o.map { case (k, t) => (k, t.rename(f)) })
-          case PredAtom(t)         => PredAtom(t.rename(f))
-          case AssignAtom(v, t)    => AssignAtom(v, t.rename(f))
-          case ExistsAtom(b2, n)   => ExistsAtom(b2.map(fixAtom), n)
-          case ConstAtom(vs, rs)   => ConstAtom(vs.map(f), rs)
-        }
         Rule(
           r.head.copy(cols = r.head.cols.map { case (n, t) => n -> t.rename(f) },
                       group = r.head.group.map(f)),
-          body.map(fixAtom))
+          body.map(_.rename(f)))
       }
     }
     p.copy(rules = rules)
@@ -321,14 +314,7 @@ object Optimizer {
         val internal = prod.body.flatMap(_.allVars).toSet -- ren.keySet
         val fresh = internal.map(v => v -> ng.fresh(v)).toMap
         val f: String => String = v => ren.getOrElse(v, fresh.getOrElse(v, v))
-        def ren1(a: Atom): Atom = a match {
-          case RelAtom(r2, vs, o) => RelAtom(r2, vs.map(f), o.map { case (k, t) => (k, t.rename(f)) })
-          case PredAtom(t)        => PredAtom(t.rename(f))
-          case AssignAtom(v, t)   => AssignAtom(f(v), t.rename(f))
-          case ExistsAtom(b, n)   => ExistsAtom(b.map(ren1), n)
-          case ConstAtom(vs, rs)  => ConstAtom(vs.map(f), rs)
-        }
-        prod.body.map(ren1) ++ extra.toVector.map(ren1)
+        (prod.body ++ extra).map(_.rename(f))
       case ExistsAtom(b, n) => Vector(ExistsAtom(splice(b), n))
       case other            => Vector(other)
     }

@@ -71,6 +71,16 @@ object TondIR {
       case AssignAtom(v, t)         => t.vars + v
       case ExistsAtom(b, _)         => b.flatMap(_.allVars).toSet
     }
+
+    /** Rename every variable via `f`, assigned ones and those inside
+      * `exists` bodies included. */
+    def rename(f: String => String): Atom = this match {
+      case RelAtom(rel, vs, o) => RelAtom(rel, vs.map(f), o.map { case (k, t) => (k, t.rename(f)) })
+      case ConstAtom(vs, rs)   => ConstAtom(vs.map(f), rs)
+      case PredAtom(t)         => PredAtom(t.rename(f))
+      case AssignAtom(v, t)    => AssignAtom(f(v), t.rename(f))
+      case ExistsAtom(b, n)    => ExistsAtom(b.map(_.rename(f)), n)
+    }
   }
 
   /** Access to relation `rel`, binding its columns positionally to `vars`.

@@ -39,8 +39,8 @@ object Einsum {
   // ==================================================================== plan
   /** Symbolic kernel planning: reduce a binary/unary einsum over order ≤ 2
     * tensors to a chain of fundamental-kernel applications (Table VI names,
-    * plus the operand `swap` step from §III-D). Used by tests to check the
-    * paper's worked example and by [[lowerDense]] to dispatch. */
+    * plus the operand `swap` step from §III-D). Only tests use it, to check
+    * the paper's worked example; [[lowerDense]] dispatches on its own. */
   def plan(spec: String): Vector[String] = {
     val s = normalize(spec)
     s match {
@@ -213,20 +213,6 @@ object Einsum {
     val h = hadamard(a, b, ng)
     val t = totalSum(DenseOp(h.rel, 2, a.nCols), ng)
     t.copy(rules = h.rules ++ t.rules)
-  }
-
-  /** 'i,j->ij' — outer product: broadcast the second vector (statically
-    * known length `bLen`, from the catalog) to a one-row relation, then
-    * scale each row of the first. */
-  def outerProductN(a: DenseOp, b: DenseOp, bLen: Int, ng: NameGen): Lowered = {
-    val row = broadcastVector(b, bLen, ng)
-    val id = ng.fresh("id"); val x = ng.fresh("x")
-    val vs = vars(ng, bLen, "v")
-    val rel = ng.fresh("outer")
-    val cols = ("id" -> (TVar(id): Term)) +: vs.zipWithIndex.map { case (v, i) =>
-      s"c$i" -> (TBin("*", TVar(x), TVar(v)): Term) }
-    val body = Vector[Atom](RelAtom(a.rel, Vector(id, x)), RelAtom(row.rel, vs))
-    Lowered(row.rules :+ Rule(Head(rel, cols.toVector), body), rel, 2, bLen)
   }
 
   /** 'ij,j->i' — matrix–vector product: broadcast the vector into one row

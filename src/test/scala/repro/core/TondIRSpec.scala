@@ -24,6 +24,11 @@ class TondIRSpec extends AnyFunSuite {
   test("rename is total and leaves unmapped names intact") {
     val t = TBin("+", v("a"), v("b"))
     assert(t.rename(Map("a" -> "z").withDefault(identity)) == TBin("+", v("z"), v("b")))
+    val e = ExistsAtom(Vector(RelAtom("r", Vector("a", "b"), Some(("left", TBin("=", v("a"), v("c"))))),
+                              AssignAtom("a", v("b"))))
+    assert(e.rename(Map("a" -> "z").withDefault(identity)) ==
+      ExistsAtom(Vector(RelAtom("r", Vector("z", "b"), Some(("left", TBin("=", v("z"), v("c"))))),
+                        AssignAtom("z", v("b")))))
   }
 
   test("property: NameGen never repeats names") {
