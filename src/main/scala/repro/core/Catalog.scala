@@ -16,6 +16,12 @@ final case class Catalog(schemas: Map[String, Vector[String]],
                          uniqueCols: Map[String, Set[String]] = Map.empty,
                          matrixCols: Map[String, Int] = Map.empty) {
 
+  /** Base relation name → positions of its unique columns. */
+  lazy val uniquePositions: Map[String, Set[Int]] = schemas.map { case (rel, cols) =>
+    val u = uniqueCols.getOrElse(rel, Set.empty[String])
+    rel -> cols.indices.filter(i => u(cols(i))).toSet
+  }
+
   def schema(rel: String): Vector[String] =
     schemas.getOrElse(rel, sys.error(s"catalog: unknown relation '$rel'"))
 

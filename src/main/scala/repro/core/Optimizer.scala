@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.mutable
 import TondIR._
 
 /** TondIR optimizer (§IV).
@@ -16,19 +17,29 @@ import TondIR._
   */
 object Optimizer {
 
-  def optimize(p: Program, cat: Catalog, level: Int): Program = level match {
-    case 0 => p
-    case 1 => fix(p, 1)(q => globalDce(localDce(q)))
-    case 2 => fix(optimize(p, cat, 1), 2)(q => globalDce(localDce(groupAggElim(q, cat))))
-    case 3 => fix(optimize(p, cat, 2), 3)(q => globalDce(localDce(groupAggElim(selfJoinElim(q, cat), cat))))
-    case 4 =>
-      val inlined = inlineRules(optimize(p, cat, 3))
-      fix(inlined, 4)(q => globalDce(localDce(groupAggElim(selfJoinElim(q, cat), cat))))
-    case n => sys.error(s"optimizer: unknown level $n")
+  /** Run level `level`'s passes to their fixpoint. A step at O1 runs DCE;
+    * O2 adds group-aggregate elimination and O3 self-join elimination. O4
+    * inlines rules once, between two O3 fixpoints. */
+  def optimize(p: Program, cat: Catalog, level: Int): Program = {
+    TondIR.check(p)
+    level match {
+      case 0          => p
+      case 1 | 2 | 3  => fix(p, level)(step(level, cat))
+      case 4          => fix(inlineRules(fix(p, 3)(step(3, cat))), 4)(step(3, cat))
+      case n          => sys.error(s"optimizer: unknown level $n")
+    }
   }
 
-  /** Most changing steps `fix` takes. Global DCE prunes one rule per step;
-    * TPC-H Q8 at O1 takes 10. */
+  private def step(level: Int, cat: Catalog)(p: Program): Program =
+    if (level == 1) globalDce(p)
+    else {
+      val uniq = uniqueColumns(p, cat)
+      globalDce(groupAggElim(if (level >= 3) selfJoinElim(p, uniq) else p, uniq))
+    }
+
+  /** Most changing steps `fix` takes. Since global DCE prunes a whole chain
+    * in one sweep, each of the 30 workload programs settles after at most one
+    * changing step at every level; the cap stops a pass that never settles. */
   private val FixpointCap = 50
 
   /** Apply `step` until the program stops changing; fail at the cap. */
@@ -50,90 +61,71 @@ object Optimizer {
   def localDce(p: Program): Program = p.copy(rules = p.rules.map(localDce))
 
   def localDce(r: Rule): Rule = {
-    val used: Set[String] =
-      r.head.cols.flatMap(_._2.vars).toSet ++ r.head.group ++
-        r.body.flatMap {
-          case AssignAtom(_, t) => t.vars
-          case a                => a.allVars
-        }
-    val keep = r.body.filter {
-      case AssignAtom(v, _) => used.contains(v)
-      case _                => true
+    val used = mutable.HashSet[String]() ++= r.head.group
+    r.head.cols.foreach(_._2.foreachVar(used += _))
+    r.body.foreach {
+      case AssignAtom(_, t) => t.foreachVar(used += _)
+      case a                => a.foreachVar(used += _)
     }
-    if (keep == r.body) r else localDce(r.copy(body = keep))
+    if (r.assigns.forall(a => used(a.v))) r
+    else localDce(r.copy(body = r.body.filter {
+      case AssignAtom(v, _) => used(v)
+      case _                => true
+    }))
   }
 
   // ------------------------------------------------------------ global DCE
   /** Remove head columns of intermediate rules that no downstream rule
-    * reads, and drop rules that nothing (transitively) depends on. */
+    * reads, and drop rules that nothing (transitively) depends on.
+    *
+    * One backward sweep: in the rule order [[TondIR.check]] enforces, every
+    * consumer comes after its producers, so walking the rules in reverse
+    * visits each rule after all of its consumers (live-variable analysis over
+    * an acyclic graph). A position of a relation is read if a consumer
+    * references its variable in a term, the head or the group, or joins on
+    * it (the variable repeats across relation accesses). */
   def globalDce(p: Program): Program = {
-    // 1. Drop unreachable rules.
-    val needed = scala.collection.mutable.Set[String](p.result)
-    var changed = true
-    while (changed) {
-      changed = false
-      for (r <- p.rules if needed(r.head.rel);
-           ra <- r.body.flatMap(allRelAtoms) if !needed(ra.rel)) {
-        needed += ra.rel; changed = true
-      }
-    }
-    val live = p.rules.filter(r => needed(r.head.rel))
-
-    // 2. Per intermediate relation, compute the set of used column positions.
-    //    A position is used if any consumer reads its var (in a term, the
-    //    head, group/sort) or uses it as a join variable (repeated binding).
-    val defined = live.map(_.head.rel).toSet
-    def usedPositions(rel: String): Set[Int] = {
-      if (rel == p.result) return live.find(_.head.rel == rel).map(_.head.cols.indices.toSet).getOrElse(Set.empty)
-      val res = scala.collection.mutable.Set[Int]()
-      // Term-level var references at any nesting depth (incl. exists bodies).
-      def termVars(a: Atom): Seq[String] = a match {
-        case AssignAtom(_, t)             => t.vars.toSeq
-        case PredAtom(t)                  => t.vars.toSeq
-        case RelAtom(_, _, Some((_, on))) => on.vars.toSeq
-        case ExistsAtom(b, _)             => b.flatMap(termVars)
-        case _                            => Seq.empty
-      }
-      for (r <- live; atom <- r.body; ra <- allRelAtoms(atom) if ra.rel == rel) {
-        // vars referenced anywhere in the rule other than as this atom's bare binding
-        val counts = r.body.flatMap(allRelAtoms).flatMap(_.vars).groupBy(identity).map { case (k, v) => k -> v.size }
-        val referenced: Set[String] =
-          r.head.cols.flatMap(_._2.vars).toSet ++ r.head.group ++ r.body.flatMap(termVars)
-        ra.vars.zipWithIndex.foreach { case (v, i) =>
-          if (referenced.contains(v) || counts.getOrElse(v, 0) > 1) res += i
-        }
-      }
-      res.toSet
-    }
-
-    val pruned = live.map { r =>
-      if (r.head.rel == p.result) r
-      else {
-        val used = usedPositions(r.head.rel)
-        if (used.size == r.head.cols.size || used.isEmpty) r
+    val reads = mutable.Map[String, Set[Int]](p.result -> Set.empty)
+    val kept = mutable.Map[String, Vector[Int]]()
+    val live = Vector.newBuilder[Rule]
+    for (r <- p.rules.reverseIterator; used <- reads.get(r.head.rel)) {
+      val cols = r.head.cols
+      val pruned =
+        if (r.head.rel == p.result || used.isEmpty || used.size == cols.size) r
         else {
-          val keepIdx = r.head.cols.indices.filter(used).toVector
-          val newCols = keepIdx.map(r.head.cols)
-          r.copy(head = r.head.copy(cols = newCols))
+          val keep = cols.indices.filter(used).toVector
+          kept(r.head.rel) = keep
+          r.copy(head = r.head.copy(cols = keep.map(cols)))
         }
-      }
+      val out = localDce(pruned)
+      val accesses = out.body.flatMap(allRelAtoms)
+      val counts = mutable.HashMap[String, Int]().withDefaultValue(0)
+      for (ra <- accesses; v <- ra.vars) counts(v) += 1
+      val referenced = mutable.HashSet[String]() ++= out.head.group
+      out.head.cols.foreach(_._2.foreachVar(referenced += _))
+      out.body.foreach(termVars(_, referenced += _))
+      for (ra <- accesses)
+        reads(ra.rel) = reads.getOrElse(ra.rel, Set.empty[Int]) ++
+          ra.vars.indices.filter(i => referenced(ra.vars(i)) || counts(ra.vars(i)) > 1)
+      live += out
     }
-
-    // 3. Fix consumers of pruned relations: drop the corresponding vars from
-    //    their RelAtoms (positional binding must stay aligned).
-    val headsBefore = live.map(r => r.head.rel -> r.head.cols.size).toMap
-    val keptIdx: Map[String, Vector[Int]] = live.zip(pruned).map { case (b, a) =>
-      b.head.rel -> b.head.cols.indices.filter(i => a.head.cols.contains(b.head.cols(i))).toVector
-    }.toMap
     def fixAtom(a: Atom): Atom = a match {
-      case ra @ RelAtom(rel, vars, o) if defined(rel) && keptIdx.contains(rel) &&
-          keptIdx(rel).size != headsBefore(rel) =>
-        ra.copy(vars = keptIdx(rel).map(vars))
-      case ExistsAtom(b, n) => ExistsAtom(b.map(fixAtom), n)
-      case other => other
+      case ra @ RelAtom(rel, vars, _) if kept.contains(rel) => ra.copy(vars = kept(rel).map(vars))
+      case ExistsAtom(b, n)                                 => ExistsAtom(b.map(fixAtom), n)
+      case other                                            => other
     }
-    val fixedRules = pruned.map(r => r.copy(body = r.body.map(fixAtom)))
-    p.copy(rules = fixedRules)
+    val rules = live.result().reverse
+    p.copy(rules = if (kept.isEmpty) rules else rules.map(r => r.copy(body = r.body.map(fixAtom))))
+  }
+
+  /** Apply `f` to the variables the atom's terms reference, at any nesting
+    * depth (not the bare bindings of relation and VALUES accesses). */
+  private def termVars(a: Atom, f: String => Unit): Unit = a match {
+    case AssignAtom(_, t)             => t.foreachVar(f)
+    case PredAtom(t)                  => t.foreachVar(f)
+    case RelAtom(_, _, Some((_, on))) => on.foreachVar(f)
+    case ExistsAtom(b, _)             => b.foreach(termVars(_, f))
+    case _                            => ()
   }
 
   // ---------------------------------------------- group-aggregate elimination
@@ -142,8 +134,7 @@ object Optimizer {
     * aggregate in the head, assignments and predicates (`sum/min/max/avg(t)
     * → t`, `count(*) → 1`). A rule that counts a column is left alone:
     * `count(x)` is 0 where `x` is NULL. */
-  def groupAggElim(p: Program, cat: Catalog): Program = {
-    val uniq = uniqueColumns(p, cat)
+  def groupAggElim(p: Program, uniq: Map[String, Set[Int]]): Program = {
     val rules = p.rules.map { r =>
       val singleRel = r.relAtoms.size == 1 && !r.hasOuter &&
         !r.body.exists(_.isInstanceOf[ExistsAtom])
@@ -183,37 +174,25 @@ object Optimizer {
   /** Unique column positions per relation: catalog keys for base tables,
     * propagated through rule heads (group keys are unique in the result;
     * a bare projection of a unique column stays unique; UID() is unique). */
-  def uniqueColumns(p: Program, cat: Catalog): Map[String, Set[Int]] = {
-    val m = scala.collection.mutable.Map[String, Set[Int]]()
-    for ((rel, cols) <- cat.schemas) {
-      val u = cat.uniqueCols.getOrElse(rel, Set.empty)
-      m(rel) = cols.zipWithIndex.collect { case (c, i) if u(c) => i }.toSet
-    }
-    for (r <- p.rules) {
-      val assignOf = r.assigns.map(a => a.v -> a.t).toMap
-      val bodyUnique: Set[String] =
-        if (r.relAtoms.size == 1)
-          r.relAtoms.head.vars.zipWithIndex.collect {
-            case (v, i) if m.getOrElse(r.relAtoms.head.rel, Set.empty).contains(i) => v
-          }.toSet
-        else Set.empty
-      val res = r.head.cols.zipWithIndex.collect {
+  def uniqueColumns(p: Program, cat: Catalog): Map[String, Set[Int]] =
+    p.rules.foldLeft(cat.uniquePositions) { (m, r) =>
+      val uids = r.body.collect { case AssignAtom(v, TExt("uid", _)) => v }.toSet
+      val bodyUnique: Set[String] = r.relAtoms match {
+        case Vector(ra) => ra.vars.zipWithIndex.collect { case (v, i) if m.getOrElse(ra.rel, Set.empty).contains(i) => v }.toSet
+        case _          => Set.empty
+      }
+      m.updated(r.head.rel, r.head.cols.zipWithIndex.collect {
         case ((_, TVar(v)), i)
           if (r.head.group.size == 1 && r.head.group.head == v) ||
-             (r.head.group.isEmpty && bodyUnique.contains(v)) ||
-             assignOf.get(v).exists { case TExt("uid", _) => true; case _ => false } => i
-      }.toSet
-      m(r.head.rel) = res
+             (r.head.group.isEmpty && bodyUnique.contains(v)) || uids(v) => i
+      }.toSet)
     }
-    m.toMap
-  }
 
   // -------------------------------------------------- self-join elimination
   /** Drop a duplicate access to the same relation when the two accesses are
     * joined on a unique column and neither is otherwise constrained: all
     * information of the second access is available from the first. */
-  def selfJoinElim(p: Program, cat: Catalog): Program = {
-    val uniq = uniqueColumns(p, cat)
+  def selfJoinElim(p: Program, uniq: Map[String, Set[Int]]): Program = {
     val rules = p.rules.map { r =>
       val atoms = r.relAtoms
       var body = r.body
@@ -252,39 +231,27 @@ object Optimizer {
   /** Fuse chains of non-flow-breaker rules into their (single) consumer.
     * Variables of the inlined body are renamed so head columns line up with
     * the consumer's positional binding; all other internal variables get
-    * fresh names to respect relation-access renaming (§III-B). */
+    * fresh names to respect relation-access renaming (§III-B).
+    *
+    * Splicing moves a producer's accesses into its consumer, so it changes
+    * no consumer count, outer access or flow breaker: the candidates are
+    * found once and spliced in rule order, producers before consumers. */
   def inlineRules(p: Program): Program = {
     val ng = new NameGen("il")
-    var rules = p.rules
-    var changed = true
-    while (changed) {
-      changed = false
-      val prog = Program(rules, p.result)
-      // count consumers of each relation (at any nesting depth)
-      val consumers: Map[String, Int] = rules
-        .flatMap(r => r.body.flatMap(allRelAtoms).map(_.rel))
-        .groupBy(identity).map { case (k, v) => k -> v.size }
-      // Relations accessed as the right side of an outer join cannot be
-      // spliced (their filters must stay behind the join).
-      val outerConsumed: Set[String] = rules.flatMap(r =>
-        r.body.flatMap(allRelAtoms).collect { case RelAtom(rel, _, Some(_)) => rel }).toSet
-      val candidate = rules.find { r =>
-        !isFlowBreaker(r, prog) && consumers.getOrElse(r.head.rel, 0) == 1 &&
-          !outerConsumed(r.head.rel) &&
-          r.head.cols.forall { case (_, t) => !t.hasAgg }
-      }
-      candidate match {
-        case None => ()
-        case Some(prod) =>
-          val rel = prod.head.rel
-          rules = rules.filterNot(_ eq prod).map { cons =>
-            if (!cons.body.flatMap(allRelAtoms).exists(_.rel == rel)) cons
-            else spliceInto(cons, prod, ng)
-          }
-          changed = true
-      }
+    val accesses = p.rules.zipWithIndex.flatMap { case (r, i) => r.body.flatMap(allRelAtoms).map(_ -> i) }
+    val consumers = accesses.groupBy(_._1.rel)
+    // Relations accessed as the right side of an outer join cannot be
+    // spliced (their filters must stay behind the join).
+    val outerConsumed = accesses.collect { case (RelAtom(rel, _, Some(_)), _) => rel }.toSet
+    val rules: Array[Option[Rule]] = p.rules.map(Some(_)).toArray
+    for (i <- rules.indices; prod <- rules(i); cons <- consumers.get(prod.head.rel)
+         if cons.size == 1 && !isFlowBreaker(prod, p) && !outerConsumed(prod.head.rel) &&
+           prod.head.cols.forall { case (_, t) => !t.hasAgg }) {
+      val j = cons.head._2
+      rules(j) = rules(j).map(spliceInto(_, prod, ng))
+      rules(i) = None
     }
-    p.copy(rules = rules)
+    p.copy(rules = rules.toVector.flatten)
   }
 
   /** Replace every access to `prod.head.rel` inside `cons` by `prod`'s body
@@ -295,7 +262,7 @@ object Optimizer {
         require(outer.isEmpty, "cannot inline into outer-join access")
         // Build renaming: producer's head col i ↦ consumer var at position i.
         var ren = Map.empty[String, String]
-        val extra = scala.collection.mutable.ArrayBuffer[Atom]()
+        val extra = mutable.ArrayBuffer[Atom]()
         prod.head.cols.zipWithIndex.foreach { case ((_, t), i) =>
           t match {
             case TVar(v) =>

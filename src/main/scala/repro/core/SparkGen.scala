@@ -133,15 +133,17 @@ object SparkGen {
               else Window.orderBy(args.map(render(_)): _*)
       row_number().over(w).cast(LongType) - 1L
     case TExt("year", Seq(x))   => year(render(x)).cast(LongType)
-    case TExt("substr", Seq(x, f, l)) =>
-      def asInt(t: Term): Int = t match {
-        case TConst(i: Int) => i; case TConst(i: Long) => i.toInt
-        case other => sys.error(s"substr bound must be constant: $other") }
-      substring(render(x), asInt(f), asInt(l))
-    case TExt("round", Seq(x, TConst(n: Int))) => round(render(x), n)
+    case TExt("substr", Seq(x, f, l)) => substring(render(x), asInt(f), asInt(l))
+    case TExt("round", Seq(x, n))     => round(render(x), asInt(n))
     case TExt("inline", Seq(x)) => render(x)
     case TExt("neg", Seq(x))    => -render(x)
     case TExt("length", Seq(x)) => length(render(x)).cast(LongType)
     case TExt(f, _) => sys.error(s"sparkgen: unknown external $f")
+  }
+
+  /** A function's integer argument (substr bounds, round digits). */
+  private def asInt(t: Term): Int = t match {
+    case TConst(i: Int) => i; case TConst(i: Long) => i.toInt
+    case other => sys.error(s"sparkgen: expected an integer constant, got ${TondIR.show(other)}")
   }
 }

@@ -16,13 +16,16 @@ object TondIR {
   // ------------------------------------------------------------------ terms
   sealed trait Term {
     /** All variable names referenced by this term. */
-    def vars: Set[String] = this match {
-      case TVar(n)          => Set(n)
-      case TConst(_)        => Set.empty
-      case TAgg(_, a, _)    => a.vars
-      case TExt(_, as)      => as.flatMap(_.vars).toSet
-      case TIf(c, t, e)     => c.vars ++ t.vars ++ e.vars
-      case TBin(_, l, r)    => l.vars ++ r.vars
+    def vars: Set[String] = { val b = Set.newBuilder[String]; foreachVar(b += _); b.result() }
+
+    /** Apply `f` to every variable occurrence, left to right. */
+    def foreachVar(f: String => Unit): Unit = this match {
+      case TVar(n)          => f(n)
+      case TConst(_)        => ()
+      case TAgg(_, a, _)    => a.foreachVar(f)
+      case TExt(_, as)      => as.foreach(_.foreachVar(f))
+      case TIf(c, t, e)     => c.foreachVar(f); t.foreachVar(f); e.foreachVar(f)
+      case TBin(_, l, r)    => l.foreachVar(f); r.foreachVar(f)
     }
 
     /** True iff an aggregation appears anywhere in this term. */
@@ -64,12 +67,15 @@ object TondIR {
 
   // ------------------------------------------------------------------ atoms
   sealed trait Atom {
-    def allVars: Set[String] = this match {
-      case RelAtom(_, vs, outerOn)  => vs.toSet ++ outerOn.map(_._2.vars).getOrElse(Set.empty)
-      case ConstAtom(vs, _)         => vs.toSet
-      case PredAtom(t)              => t.vars
-      case AssignAtom(v, t)         => t.vars + v
-      case ExistsAtom(b, _)         => b.flatMap(_.allVars).toSet
+    def allVars: Set[String] = { val b = Set.newBuilder[String]; foreachVar(b += _); b.result() }
+
+    /** Apply `f` to every variable occurrence, `exists` bodies included. */
+    def foreachVar(f: String => Unit): Unit = this match {
+      case RelAtom(_, vs, outerOn)  => vs.foreach(f); outerOn.foreach(_._2.foreachVar(f))
+      case ConstAtom(vs, _)         => vs.foreach(f)
+      case PredAtom(t)              => t.foreachVar(f)
+      case AssignAtom(v, t)         => t.foreachVar(f); f(v)
+      case ExistsAtom(b, _)         => b.foreach(_.foreachVar(f))
     }
 
     /** Rename every variable via `f`, assigned ones and those inside
@@ -142,6 +148,21 @@ object TondIR {
     case r: RelAtom        => Vector(r)
     case ExistsAtom(b, _)  => b.flatMap(allRelAtoms)
     case _                 => Vector.empty
+  }
+
+  /** Rule order: each relation is defined by at most one rule, and every
+    * rule reads only base relations or relations defined by earlier rules
+    * (lowering numbers the DAG topologically; the optimizer keeps the order
+    * and relies on it). Fails showing the first rule that breaks it. */
+  def check(p: Program): Unit = {
+    val defined = p.rules.map(_.head.rel).toSet
+    val seen = scala.collection.mutable.Set[String]()
+    for (r <- p.rules) {
+      r.body.flatMap(allRelAtoms).find(ra => defined(ra.rel) && !seen(ra.rel)).foreach { ra =>
+        sys.error(s"TondIR: ${ra.rel} is read before the rule that defines it: ${show(r)}")
+      }
+      if (!seen.add(r.head.rel)) sys.error(s"TondIR: ${r.head.rel} is defined twice: ${show(r)}")
+    }
   }
 
   // --------------------------------------------------------------- printing

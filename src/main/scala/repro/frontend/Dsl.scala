@@ -36,6 +36,7 @@ object Dsl {
     def in(vals: Any*)       = PIn(this, vals.toVector)
     def year                 = PFun("year", Vector(this))
     def substr(from: Int, len: Int) = PFun("substr", Vector(this, PLit(from), PLit(len)))
+    def round(digits: Int)   = PFun("round", Vector(this, PLit(digits)))
   }
   final case class PCol(name: String) extends PExpr
   final case class PLit(v: Any) extends PExpr

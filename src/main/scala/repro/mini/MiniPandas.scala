@@ -82,6 +82,8 @@ object MiniPandas {
     }
     case PFun("substr", Vector(a, PLit(f: Int), PLit(l: Int))) =>
       val s = String.valueOf(eval(a, schema, row)); s.substring(f - 1, math.min(s.length, f - 1 + l))
+    case PFun("round", Vector(a, PLit(n: Int))) =>
+      BigDecimal(num(eval(a, schema, row))).setScale(n, BigDecimal.RoundingMode.HALF_UP).toDouble
     case PFun(fn, _) => sys.error(s"mini: fn $fn")
     case PBin(op, l, r) =>
       val (a, b) = (eval(l, schema, row), eval(r, schema, row))

@@ -12,6 +12,8 @@ class OptimizerSpec extends AnyFunSuite {
     .withTable("R4", Vector("e", "f", "g"))
 
   private def v(n: String) = TVar(n)
+  private def gae(p: Program) = Optimizer.groupAggElim(p, Optimizer.uniqueColumns(p, cat))
+  private def sje(p: Program) = Optimizer.selfJoinElim(p, Optimizer.uniqueColumns(p, cat))
 
   // ---------------------------------------------------------- local DCE
   test("local DCE removes assignments not used by the head or other atoms") {
@@ -61,13 +63,26 @@ class OptimizerSpec extends AnyFunSuite {
     assert(out.rules.map(_.head.rel) == Vector("Live"))
   }
 
+  test("one global DCE call prunes a three-rule chain through both producer levels") {
+    // P1(a,b,c,d) :- R(a,b,c,d).  P2(a,b,c) :- P1(a1,b1,c1,d1).  P3(a) :- P2(a2,b2,c2).
+    val rules = Vector(
+      Rule(Head("P1", Vector("a" -> v("a"), "b" -> v("b"), "c" -> v("c"), "d" -> v("d"))),
+           Vector(RelAtom("R", Vector("a", "b", "c", "d")))),
+      Rule(Head("P2", Vector("a" -> v("a1"), "b" -> v("b1"), "c" -> v("c1"))),
+           Vector(RelAtom("P1", Vector("a1", "b1", "c1", "d1")))),
+      Rule(Head("P3", Vector("a" -> v("a2"))), Vector(RelAtom("P2", Vector("a2", "b2", "c2")))))
+    val out = Optimizer.globalDce(Program(rules, "P3"))
+    assert(out.rules.map(_.head.colNames) == Vector(Vector("a"), Vector("a"), Vector("a")), TondIR.show(out))
+    assert(out.rules.map(_.relAtoms.head.vars) == Vector(Vector("a", "b", "c", "d"), Vector("a1"), Vector("a2")))
+  }
+
   // ---------------------------------------- group-aggregate elimination
   test("group-aggregate elimination on a unique key (paper §IV example)") {
     // R1(id, s) group(id) :- S(id, x, y), (s=sum(x)).  — id is S's PK
     val r = Rule(
       Head("R1", Vector("id" -> v("id"), "s" -> v("s")), group = Vector("id")),
       Vector(RelAtom("S", Vector("id", "x", "y")), AssignAtom("s", TAgg("sum", v("x")))))
-    val out = Optimizer.groupAggElim(Program(Vector(r), "R1"), cat)
+    val out = gae(Program(Vector(r), "R1"))
     val o = out.rules.head
     assert(o.head.group.isEmpty)
     assert(o.assigns.head.t == v("x"))       // sum(x) unwrapped to x
@@ -77,7 +92,7 @@ class OptimizerSpec extends AnyFunSuite {
     val r = Rule(
       Head("R1", Vector("id" -> v("id"), "n" -> v("n")), group = Vector("id")),
       Vector(RelAtom("S", Vector("id", "x", "y")), AssignAtom("n", TAgg("count", TConst(1L)))))
-    val out = Optimizer.groupAggElim(Program(Vector(r), "R1"), cat)
+    val out = gae(Program(Vector(r), "R1"))
     assert(out.rules.head.assigns.head.t == TConst(1L))
   }
 
@@ -88,7 +103,7 @@ class OptimizerSpec extends AnyFunSuite {
         Head("R1", Vector("id" -> v("id"), "n" -> v("n"), "s" -> v("s")), group = Vector("id")),
         Vector(RelAtom("S", Vector("id", "x", "y")), AssignAtom("n", agg),
                AssignAtom("s", TAgg("sum", v("y")))))
-      assert(Optimizer.groupAggElim(Program(Vector(r), "R1"), cat).rules.head == r)
+      assert(gae(Program(Vector(r), "R1")).rules.head == r)
     }
   }
 
@@ -97,7 +112,7 @@ class OptimizerSpec extends AnyFunSuite {
       Head("R1", Vector("id" -> v("id"), "s" -> v("s")), group = Vector("id")),
       Vector(RelAtom("S", Vector("id", "x", "y")), AssignAtom("s", TAgg("sum", v("x"))),
              PredAtom(TBin(">", TAgg("max", v("y")), TConst(10L)))))
-    val o = Optimizer.groupAggElim(Program(Vector(r), "R1"), cat).rules.head
+    val o = gae(Program(Vector(r), "R1")).rules.head
     assert(o.head.group.isEmpty)
     assert(o.body.contains(PredAtom(TBin(">", v("y"), TConst(10L)))), TondIR.show(o))
   }
@@ -106,7 +121,7 @@ class OptimizerSpec extends AnyFunSuite {
     val r = Rule(
       Head("R1", Vector("x" -> v("x"), "s" -> v("s")), group = Vector("x")),
       Vector(RelAtom("S", Vector("id", "x", "y")), AssignAtom("s", TAgg("sum", v("y")))))
-    val out = Optimizer.groupAggElim(Program(Vector(r), "R1"), cat)
+    val out = gae(Program(Vector(r), "R1"))
     assert(out.rules.head.head.group == Vector("x"))
   }
 
@@ -116,7 +131,7 @@ class OptimizerSpec extends AnyFunSuite {
     val r = Rule(
       Head("T", Vector("x" -> v("x"), "y" -> v("y"))),
       Vector(RelAtom("S", Vector("id", "x", "y1")), RelAtom("S", Vector("id", "x2", "y"))))
-    val out = Optimizer.selfJoinElim(Program(Vector(r), "T"), cat)
+    val out = sje(Program(Vector(r), "T"))
     val o = out.rules.head
     assert(o.relAtoms.size == 1, TondIR.show(out))
     assert(o.head.cols == Vector("x" -> v("x"), "y" -> v("y1")))
@@ -126,7 +141,7 @@ class OptimizerSpec extends AnyFunSuite {
     val r = Rule(
       Head("T", Vector("a" -> v("x"))),
       Vector(RelAtom("S", Vector("i1", "x", "y")), RelAtom("S", Vector("i2", "x", "y2"))))
-    val out = Optimizer.selfJoinElim(Program(Vector(r), "T"), cat)
+    val out = sje(Program(Vector(r), "T"))
     assert(out.rules.head.relAtoms.size == 2)
   }
 
@@ -188,6 +203,23 @@ class OptimizerSpec extends AnyFunSuite {
     val p = Program(Vector(Rule(Head("P", Vector("a" -> v("a"))), Vector(RelAtom("R", Vector("a", "b", "c", "d"))))), "P")
     val e = intercept[RuntimeException](Optimizer.fix(p, 3)(q => q.copy(result = q.result + "'")))
     assert(e.getMessage.contains("O3"), e.getMessage)
+  }
+
+  test("a rule that reads a relation defined by a later rule fails at every level and shows the rule") {
+    val consumer = Rule(Head("C", Vector("a" -> v("x"))), Vector(RelAtom("P", Vector("x"))))
+    val producer = Rule(Head("P", Vector("a" -> v("a"))), Vector(RelAtom("R", Vector("a", "b", "c", "d"))))
+    for (l <- 0 to 4) {
+      val e = intercept[RuntimeException](Optimizer.optimize(Program(Vector(consumer, producer), "C"), cat, l))
+      assert(e.getMessage.contains(TondIR.show(consumer)), e.getMessage)
+    }
+    TondIR.check(Program(Vector(producer, consumer), "C"))
+  }
+
+  test("a relation defined by two rules fails the order check and shows the second rule") {
+    val r1 = Rule(Head("P", Vector("a" -> v("a"))), Vector(RelAtom("R", Vector("a", "b", "c", "d"))))
+    val r2 = Rule(Head("P", Vector("a" -> v("i"))), Vector(RelAtom("S", Vector("i", "x", "y"))))
+    val e = intercept[RuntimeException](TondIR.check(Program(Vector(r1, r2), "P")))
+    assert(e.getMessage.contains(TondIR.show(r2)), e.getMessage)
   }
 
   test("optimization levels compose monotonically (rule count never grows)") {

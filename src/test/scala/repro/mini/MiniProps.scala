@@ -50,6 +50,12 @@ object MiniProps extends Properties("MiniPandas") {
     ev(PIn(col("a"), xs.map(v => v: Any).toVector), r).asInstanceOf[Boolean] == xs.contains(x)
   }
 
+  property("round(2) is the nearest cent, halves away from zero") = Prop.forAll(numGen) { x =>
+    val cents = ev(col("a").round(2), row(x, 0, "")).asInstanceOf[Double]
+    math.abs(cents - x) <= 0.005 + 1e-9 && ev(col("a").round(2), row(cents, 0, "")) == cents &&
+      ev(col("a").round(2), row(2.345, 0, "")) == 2.35 && ev(col("a").round(2), row(-2.345, 0, "")) == -2.35
+  }
+
   private def tbl(rows: List[(Double, Double, String)]): MiniPandas.Table =
     MiniPandas.Table(schema, rows.toVector.map { case (a, b, s) => row(a, b, s) })
 
